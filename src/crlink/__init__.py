@@ -14,7 +14,6 @@ from .scalars import (
     ONE,
     SQRT2,
     SQRT3,
-    Scalar,
     ZERO,
     constant,
     in_ring,
@@ -79,7 +78,7 @@ from .fixtures import (
 )
 
 __all__ = [
-    "CycloNumber", "Scalar", "constant", "in_ring", "parse_scalar",
+    "CycloNumber", "constant", "in_ring", "parse_scalar",
     "I", "OMEGA", "OMEGA_BAR", "ONE", "SQRT2", "SQRT3", "ZERO",
     "HPoint", "INFINITY", "Chain", "h_mul", "h_inv", "lift", "herm",
     "signature", "cartan", "cocycle", "chain_through", "chain_point",

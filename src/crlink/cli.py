@@ -5,8 +5,8 @@
     crlink mesh [--input FILE | --fixture {standard,whitehead,fig8-scene}]
                 [--samples N] [-o out.obj]
 
-Certification output always comes from the exact backend; float numbers are
-labelled approximations.  Exit codes: 0 all checks pass, 1 a check failed,
+Certification output is always exact; float numbers are labelled
+approximations.  Exit codes: 0 all checks pass, 1 a check failed,
 2 usage or parse error.
 """
 
@@ -14,20 +14,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from importlib import resources
 from typing import Dict, List, Optional
 
-from .scalars import (
-    BackendError,
+from .scalars import ParseError, SettingError, UnknownConstantError, parse_scalar
+from .heisenberg import (
     DEFAULT_FLOAT_TOL,
-    EXACT,
-    ParseError,
-    Scalar,
-    UnknownConstantError,
-    parse_scalar,
+    GeometryError,
+    approx_point_from_json,
+    cartan,
+    eta_approx,
+    hpoint_from_json,
 )
-from .heisenberg import GeometryError, cartan, hpoint_from_json
 from .isometry import (
     Mat3,
     ProjIsometry,
@@ -45,15 +44,15 @@ from .tetra import (
 )
 from .complexes import CycleStart, FacePairing, GluingScheme, cartan_compatibility
 from .fixtures import (
-    build_figure_eight,
-    build_whitehead,
     fig8_golden_matrices,
+    fig8_realized_scheme,
     picard_generators,
     verify_all,
     verify_figure_eight,
     verify_picard_words,
     verify_whitehead,
     whitehead_golden_matrices,
+    whitehead_vertices,
 )
 from .report import Report, validate_report_json
 from .tetra import TetraParams
@@ -65,11 +64,6 @@ class CliError(Exception):
     def __init__(self, message, code=USAGE_EXIT):
         super().__init__(message)
         self.code = code
-
-
-def _load_data_scheme(name: str) -> dict:
-    with resources.files("crlink.data").joinpath(name).open() as fh:
-        return json.load(fh)
 
 
 def _read_payload(args) -> dict:
@@ -140,13 +134,13 @@ def _fixture_env(name: str) -> Dict[str, ProjIsometry]:
     raise CliError(f"unknown fixture {name!r}; want fig8, whitehead or picard")
 
 
-def _parse_matrix(data, backend=EXACT) -> ProjIsometry:
+def _parse_matrix(data) -> ProjIsometry:
     if not isinstance(data, dict) or "matrix" not in data:
         raise CliError('matrix payload needs {"matrix": [[...]x3], "holo": bool}')
     rows = data["matrix"]
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise CliError("matrix must be 3x3")
-    cells = [[parse_scalar(x, EXACT).exact_value() for x in row] for row in rows]
+    cells = [[parse_scalar(x) for x in row] for row in rows]
     return ProjIsometry(Mat3(cells), bool(data.get("holo", True)))
 
 
@@ -162,33 +156,44 @@ def _parse_tetra(data) -> Tetrahedron:
     return Tetrahedron(*pts, edge_flags=flags)
 
 
+def _approx_out(z: complex) -> dict:
+    return {"approx": {"re": z.real, "im": z.imag}}
+
+
 def _scalar_out(x) -> dict:
-    if isinstance(x, Scalar) and x.backend != EXACT:
-        z = x.to_complex()
-        return {"approx": {"re": z.real, "im": z.imag}}
-    if isinstance(x, Scalar):
-        x = x.exact_value()
-    z = x.to_complex()
-    return {"exact": str(x), "approx": {"re": z.real, "im": z.imag}}
+    return {"exact": str(x), **_approx_out(x.to_complex())}
+
+
+_RIGHT_ANGLE_NOTE = "invariant is +-pi/2 (triple lies on a chain)"
+
+
+def _cartan_float(points, tol: float) -> dict:
+    """The cartan witness evaluated in machine arithmetic: approximations only."""
+    eta = eta_approx(*(approx_point_from_json(p, tol) for p in points), tol=tol)
+    out = {"eta": _approx_out(eta), "angle_approx": math.atan2(eta.imag, eta.real)}
+    if abs(eta.real) <= tol:
+        out["note"] = _RIGHT_ANGLE_NOTE
+    else:
+        out["tan"] = _approx_out(complex(eta.imag / eta.real))
+    return out
 
 
 def cmd_query(args) -> int:
     payload = _read_payload(args)
     rep = Report(f"query {args.kind}")
-    backend = getattr(args, "backend", EXACT)
-    tol = getattr(args, "tol", DEFAULT_FLOAT_TOL)
-    if backend != EXACT and args.kind != "cartan":
+    if args.backend != "exact" and args.kind != "cartan":
         raise CliError(
             "only the cartan query supports the float backend; "
             "certification queries run exactly"
         )
     try:
-        if args.kind == "cartan":
-            pts = [hpoint_from_json(p, backend, tol) for p in payload["points"]]
-            tp = cartan(*pts)
+        if args.kind == "cartan" and args.backend != "exact":
+            rep.info("cartan invariant", _cartan_float(payload["points"], args.tol))
+        elif args.kind == "cartan":
+            tp = cartan(*(hpoint_from_json(p) for p in payload["points"]))
             out = {"eta": _scalar_out(tp.eta), "angle_approx": tp.angle()}
             if tp.is_right_angle():
-                out["note"] = "invariant is +-pi/2 (triple lies on a chain)"
+                out["note"] = _RIGHT_ANGLE_NOTE
             else:
                 out["tan"] = _scalar_out(tp.tan())
             rep.info("cartan invariant", out)
@@ -238,9 +243,7 @@ def _glue_checks(scheme: GluingScheme, payload: dict, rep: Report):
         if "params" in tdata and tdata["params"]:
             p = tdata["params"]
             params[name] = TetraParams.from_zts(
-                parse_scalar(p["z"]).exact_value(),
-                parse_scalar(p["t"]).exact_value(),
-                parse_scalar(p["s"]).exact_value(),
+                parse_scalar(p["z"]), parse_scalar(p["t"]), parse_scalar(p["s"])
             )
         elif name in scheme.vertices:
             params[name] = params_from_points(scheme.vertices[name])
@@ -306,7 +309,6 @@ def scheme_from_json(payload: dict) -> GluingScheme:
         letters=letters,
         vertices=vertices,
         cycle_starts=starts,
-        cusps=payload.get("cusps", []),
     )
 
 
@@ -315,52 +317,43 @@ def scheme_from_json(payload: dict) -> GluingScheme:
 # ---------------------------------------------------------------------------
 
 
-def _standard_tetra() -> Tetrahedron:
-    fx = build_figure_eight()
-    return fx.tetrahedra["T"]
-
-
 def _mesh_tetrahedra(args) -> List[Tetrahedron]:
     if getattr(args, "fixture", None):
         if args.fixture == "standard":
-            return [_standard_tetra()]
+            return [fig8_realized_scheme().vertices["T"]]
         if args.fixture == "whitehead":
-            v = build_whitehead().vertices
+            v = whitehead_vertices()
             return [Tetrahedron(v["p1"], v["p2"], v["q1"], v["q2"])]
         if args.fixture == "fig8-scene":
-            fx = build_figure_eight()
-            return [fx.tetrahedra["T"], fx.tetrahedra["U"]]
+            tets = fig8_realized_scheme().vertices
+            return [tets["T"], tets["U"]]
         raise CliError(f"unknown fixture {args.fixture!r}")
     payload = _read_payload(args)
     return [_parse_tetra(payload)]
 
 
 def cmd_mesh(args) -> int:
+    if args.samples < 1:
+        raise CliError(f"--samples must be a positive integer, got {args.samples}")
     tets = _mesh_tetrahedra(args)
-    lines_v: List[str] = []
+    blocks_v: List[str] = []  # one block of vertex lines per polyline
     lines_l: List[str] = []
     offset = 1
 
     def polyline(points):
         nonlocal offset
-        idx = []
-        for x, y, t in points:
-            lines_v.append(f"v {x:.9g} {y:.9g} {t:.9g}")
-            idx.append(str(offset))
-            offset += 1
-        if len(idx) >= 2:
-            lines_l.append("l " + " ".join(idx))
+        blocks_v.append("\n".join(f"v {x:.9g} {y:.9g} {t:.9g}" for x, y, t in points.tolist()))
+        if len(points) >= 2:
+            lines_l.append("l " + " ".join(map(str, range(offset, offset + len(points)))))
+        offset += len(points)
 
     n = args.samples
     for tet in tets:
-        ft = tet.to_float()
         for apex, edge in FACES:
-            fs = face_sample(tet, apex, edge, n)
-            for pl in fs.polylines:
-                polyline([tuple(row) for row in pl])
-            swept = segment_samples(ft[edge[0]], ft[edge[1]], max(2, 4 * n))
-            polyline([p.coords() for p in swept])
-    content = "\n".join(lines_v + lines_l) + "\n"
+            for pl in face_sample(tet, apex, edge, n).polylines:
+                polyline(pl)
+            polyline(segment_samples(tet[edge[0]], tet[edge[1]], max(2, 4 * n)))
+    content = "\n".join(blocks_v + lines_l) + "\n"
     try:
         if args.output == "-":
             sys.stdout.write(content)
@@ -370,7 +363,7 @@ def cmd_mesh(args) -> int:
     except OSError as e:
         raise CliError(f"cannot write {args.output}: {e}", 1)
     if args.output != "-":
-        print(f"wrote {args.output}: {len(lines_v)} vertices, {len(lines_l)} polylines")
+        print(f"wrote {args.output}: {offset - 1} vertices, {len(lines_l)} polylines")
     return 0
 
 
@@ -408,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     qp.add_argument("--input", help="JSON input file")
     qp.add_argument("--inline", help="JSON input inline")
     qp.add_argument("--json", action="store_true")
-    qp.add_argument("--backend", choices=[EXACT, "float"], default=EXACT)
+    qp.add_argument("--backend", choices=["exact", "float"], default="exact")
     qp.add_argument("--tol", type=float, default=DEFAULT_FLOAT_TOL)
     qp.set_defaults(func=cmd_query)
 
@@ -440,7 +433,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         GeometryError,
         WordError,
         UnknownConstantError,
-        BackendError,
+        SettingError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_EXIT

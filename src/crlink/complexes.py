@@ -113,14 +113,12 @@ class GluingScheme:
         letters: Optional[Dict[str, str]] = None,
         vertices: Optional[Dict[str, Tetrahedron]] = None,
         cycle_starts: Optional[Sequence[CycleStart]] = None,
-        cusps: Optional[Sequence[dict]] = None,
     ):
         self.tetrahedra = list(tetrahedra)
         self.pairings = list(pairings)
         self.letters = dict(letters or {})
         self.vertices = dict(vertices or {})
         self.cycle_starts = list(cycle_starts or [])
-        self.cusps = list(cusps or [])
         for i, name in enumerate(self.tetrahedra):
             self.letters.setdefault(name, "zwvu"[i % 4])
         self._validate()

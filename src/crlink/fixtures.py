@@ -151,7 +151,7 @@ def cusp_analysis(
     within the window is the identity class.
     """
     inv = inversion()
-    origin = HPoint.exact(0, 0)
+    origin = HPoint(0, 0)
     entries = []
     for wname, word in words.items():
         g = eval_word(word, env) if word else ProjIsometry.identity()
@@ -215,11 +215,11 @@ class Fig8Fixture:
 
 def fig8_vertices() -> Dict[str, HPoint]:
     return {
-        "p1": HPoint.exact(ZERO, 2 + SQRT3),
-        "p2": HPoint.exact(ZERO, -(2 + SQRT3)),
-        "q1": HPoint.exact(OMEGA, 0),
-        "q2": HPoint.exact(ONE, 0),
-        "q3": HPoint.exact(OMEGA_BAR, 0),
+        "p1": HPoint(ZERO, 2 + SQRT3),
+        "p2": HPoint(ZERO, -(2 + SQRT3)),
+        "q1": HPoint(OMEGA, 0),
+        "q2": HPoint(ONE, 0),
+        "q3": HPoint(OMEGA_BAR, 0),
     }
 
 
@@ -259,7 +259,7 @@ def build_figure_eight() -> Fig8Fixture:
     v = fig8_vertices()
     golden = fig8_golden_matrices()
     gamma = from_triples(
-        (INFINITY, HPoint.exact(0, 0), HPoint.exact(ONE, -SQRT3)),
+        (INFINITY, HPoint(0, 0), HPoint(ONE, -SQRT3)),
         (v["p1"], v["q2"], v["q1"]),
     )
     side = {
@@ -473,7 +473,7 @@ def verify_picard_words() -> Report:
     g3_pub = a_pub @ h2w_conj(env, h2w) @ a_pub.inverse()
     rep.add(
         "07 published conjugator sends infinity to the G3 fixed point",
-        a_pub.act(INFINITY) == HPoint.exact(OMEGA, -SQRT3),
+        a_pub.act(INFINITY) == HPoint(OMEGA, -SQRT3),
     )
     rep.info(
         "08 published A-word conjugation misses G3 (documented typo)",
@@ -504,12 +504,12 @@ def h2w_conj(env, h2w: ProjIsometry) -> ProjIsometry:
 
 def whitehead_vertices() -> Dict[str, HPoint]:
     return {
-        "p1": HPoint.exact(ZERO, 1 + SQRT2),
-        "p2": HPoint.exact(ZERO, -(1 + SQRT2)),
-        "q1": HPoint.exact(ONE, 0),
-        "q2": HPoint.exact(I, 0),
-        "q3": HPoint.exact(-ONE, 0),
-        "q4": HPoint.exact(-I, 0),
+        "p1": HPoint(ZERO, 1 + SQRT2),
+        "p2": HPoint(ZERO, -(1 + SQRT2)),
+        "q1": HPoint(ONE, 0),
+        "q2": HPoint(I, 0),
+        "q3": HPoint(-ONE, 0),
+        "q4": HPoint(-I, 0),
     }
 
 
@@ -541,10 +541,6 @@ def whitehead_scheme() -> GluingScheme:
         pairings,
         letters={"T1": "z", "T2": "w", "T3": "v", "T4": "u"},
         vertices=tets,
-        cusps=[
-            {"name": "first torus", "words": {"H1": "G3^-1 G1^-1", "H2": "G2"}},
-            {"name": "second torus", "words": {"H1'": "G3 G1^-2 G3", "H2'": ""}},
-        ],
     )
 
 
@@ -565,7 +561,7 @@ def build_whitehead() -> WhiteheadFixture:
     golden = whitehead_golden_matrices()
     nu = from_triples(
         (v["p1"], v["q1"], v["q2"]),
-        (INFINITY, HPoint.exact(0, 0), HPoint.exact(ONE, ONE)),
+        (INFINITY, HPoint(0, 0), HPoint(ONE, ONE)),
     )
     triples = {
         "G1": ((v["p1"], v["q1"], v["q2"]), (v["q2"], v["q3"], v["p2"])),

@@ -9,16 +9,26 @@ signature (2,1); chains (C-circles) are cut out by positive polar vectors;
 triples of points carry the angular invariant stored exactly as the triple
 Hermitian product.
 
-Everything here is generic over the scalar backend: exact field elements for
-certification, machine complex numbers for meshes and sampling.
+Coordinates are exact elements of Q(zeta24).  Machine numbers appear only in
+`eta_approx`, the float evaluation of the triple product behind the CLI's
+float cartan query and `cocycle`, whose points are float points: (z, t)
+pairs of machine numbers, or None for infinity.  Mesh sampling lives in
+`crlink.sampler`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from fractions import Fraction
+from typing import Optional, Tuple
 
-from .scalars import EXACT, FLOAT, BackendError, Scalar  # noqa: F401
+from .scalars import ONE, ZERO, I, CycloNumber, parse_scalar
+
+DEFAULT_FLOAT_TOL = 1e-9
+
+FloatPoint = Optional[Tuple[complex, float]]
+
+_HALF = Fraction(1, 2)
 
 
 class GeometryError(ValueError):
@@ -37,18 +47,25 @@ class ChainInvariantError(GeometryError):
     """Cartan invariant is +-pi/2 (triple on a chain): tangent undefined."""
 
 
+def _field(x) -> CycloNumber:
+    """A field element from a field element, an int or a Fraction."""
+    return x if isinstance(x, CycloNumber) else CycloNumber.from_rational(x)
+
+
 class HPoint:
     """A boundary point: Infinity, or Finite(z, t) in Heisenberg coordinates."""
 
     __slots__ = ("z", "t")
 
-    def __init__(self, z: Optional[Scalar], t: Optional[Scalar]):
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "t", t)
+    def __init__(self, z, t):
         if (z is None) != (t is None):
             raise GeometryError("both coordinates or neither")
-        if t is not None and not t.is_real():
-            raise GeometryError(f"vertical coordinate must be real, got {t}")
+        if z is not None:
+            z, t = _field(z), _field(t)
+            if not t.is_real():
+                raise GeometryError(f"vertical coordinate must be real, got {t}")
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "t", t)
 
     def __setattr__(self, *a):
         raise AttributeError("HPoint is immutable")
@@ -57,42 +74,20 @@ class HPoint:
     def infinity(cls) -> "HPoint":
         return cls(None, None)
 
-    @classmethod
-    def exact(cls, z, t) -> "HPoint":
-        return cls(Scalar.exact(z), Scalar.exact(t))
-
-    @classmethod
-    def inexact(cls, z, t, tol=None) -> "HPoint":
-        from .scalars import DEFAULT_FLOAT_TOL
-
-        tol = DEFAULT_FLOAT_TOL if tol is None else tol
-        return cls(Scalar.inexact(z, tol), Scalar.inexact(complex(t).real, tol))
-
     @property
     def is_infinity(self) -> bool:
         return self.z is None
 
-    def to_float(self, tol=None) -> "HPoint":
+    def approx(self) -> FloatPoint:
+        """The float point (z, t) as machine numbers; None at infinity."""
         if self.is_infinity:
-            return self
-        from .scalars import DEFAULT_FLOAT_TOL
-
-        tol = DEFAULT_FLOAT_TOL if tol is None else tol
-        return HPoint(self.z.to_float(tol), self.t.to_float(tol))
-
-    def coords(self):
-        """(Re z, Im z, t) as machine floats; error at infinity."""
-        if self.is_infinity:
-            raise InfinityOperandError("no coordinates at infinity")
-        zc = self.z.to_complex()
-        return (zc.real, zc.imag, self.t.to_complex().real)
+            return None
+        return (self.z.to_complex(), self.t.to_complex().real)
 
     def __eq__(self, other):
         if not isinstance(other, HPoint):
             return NotImplemented
-        if self.is_infinity or other.is_infinity:
-            return self.is_infinity and other.is_infinity
-        return self.z.eq(other.z) and self.t.eq(other.t)
+        return self.z == other.z and self.t == other.t
 
     def __hash__(self):
         return hash((self.z, self.t))
@@ -129,7 +124,7 @@ class NullVector:
 
     __slots__ = ("v1", "v2", "v3")
 
-    def __init__(self, v1: Scalar, v2: Scalar, v3: Scalar):
+    def __init__(self, v1: CycloNumber, v2: CycloNumber, v3: CycloNumber):
         if v1.is_zero() and v2.is_zero() and v3.is_zero():
             raise GeometryError("zero vector is not projective")
         object.__setattr__(self, "v1", v1)
@@ -142,7 +137,7 @@ class NullVector:
     def components(self):
         return (self.v1, self.v2, self.v3)
 
-    def scale(self, factor: Scalar) -> "NullVector":
+    def scale(self, factor: CycloNumber) -> "NullVector":
         return NullVector(self.v1 * factor, self.v2 * factor, self.v3 * factor)
 
     def conj(self) -> "NullVector":
@@ -152,30 +147,15 @@ class NullVector:
         return f"NullVector({self.v1}, {self.v2}, {self.v3})"
 
 
-def lift(p: HPoint, like: Optional[Scalar] = None) -> NullVector:
-    """Null lift: (z,t) -> ((-|z|^2+it)/2, z, 1); infinity -> (1,0,0).
-
-    `like` fixes the backend of the constant lift of infinity so that mixed
-    pairings with float points stay within one backend.
-    """
+def lift(p: HPoint) -> NullVector:
+    """Null lift: (z,t) -> ((-|z|^2+it)/2, z, 1); infinity -> (1,0,0)."""
     if p.is_infinity:
-        one = like.one_like() if like is not None else Scalar.exact(1)
-        zero = like.zero_like() if like is not None else Scalar.exact(0)
-        return NullVector(one, zero, zero)
-    one = p.z.one_like()
-    i = p.z.i_like()
-    v1 = (-(p.z.abs2()) + i * p.t) / 2
-    return NullVector(v1, p.z, one)
+        return NullVector(ONE, ZERO, ZERO)
+    v1 = (I * p.t - p.z * p.z.conj()) * _HALF
+    return NullVector(v1, p.z, ONE)
 
 
-def _scalar_witness(*points: HPoint) -> Optional[Scalar]:
-    for p in points:
-        if not p.is_infinity:
-            return p.z
-    return None
-
-
-def herm(u: NullVector, v: NullVector) -> Scalar:
+def herm(u: NullVector, v: NullVector) -> CycloNumber:
     """The signature (2,1) Hermitian form <u,v> = u1 conj(v3) + u2 conj(v2) + u3 conj(v1)."""
     return u.v1 * v.v3.conj() + u.v2 * v.v2.conj() + u.v3 * v.v1.conj()
 
@@ -205,7 +185,7 @@ class TripleProduct:
 
     __slots__ = ("eta",)
 
-    def __init__(self, eta: Scalar):
+    def __init__(self, eta: CycloNumber):
         if eta.is_zero():
             raise GeometryError("vanishing triple product")
         object.__setattr__(self, "eta", eta)
@@ -213,7 +193,7 @@ class TripleProduct:
     def __setattr__(self, *a):
         raise AttributeError("TripleProduct is immutable")
 
-    def tan(self) -> Scalar:
+    def tan(self) -> CycloNumber:
         """Exact tangent of the invariant; error when the invariant is +-pi/2."""
         re = self.eta.re()
         if re.is_zero():
@@ -248,23 +228,66 @@ def cartan(p1: HPoint, p2: HPoint, p3: HPoint) -> TripleProduct:
     """Angular invariant of three pairwise-distinct boundary points."""
     if p1 == p2 or p2 == p3 or p1 == p3:
         raise CoincidentPointsError("angular invariant needs distinct points")
-    like = _scalar_witness(p1, p2, p3)
-    l1, l2, l3 = lift(p1, like), lift(p2, like), lift(p3, like)
+    l1, l2, l3 = lift(p1), lift(p2), lift(p3)
     eta = -(herm(l1, l2) * herm(l2, l3) * herm(l3, l1))
     return TripleProduct(eta)
 
 
-def cocycle(p1: HPoint, p2: HPoint, p3: HPoint, p4: HPoint) -> float:
+# ---------------------------------------------------------------------------
+# the triple product in machine arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _approx_equal(p: FloatPoint, q: FloatPoint, tol: float) -> bool:
+    if p is None or q is None:
+        return p is q
+    return abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol
+
+
+def _lift_approx(p: FloatPoint):
+    if p is None:
+        return (1 + 0j, 0j, 0j)
+    z, t = complex(p[0]), p[1]
+    return ((1j * t - (z * z.conjugate()).real) / 2, z, 1 + 0j)
+
+
+def _herm_approx(u, v) -> complex:
+    return u[0] * v[2].conjugate() + u[1] * v[1].conjugate() + u[2] * v[0].conjugate()
+
+
+def eta_approx(p1: FloatPoint, p2: FloatPoint, p3: FloatPoint,
+               tol: float = DEFAULT_FLOAT_TOL) -> complex:
+    """The triple product -<p1,p2><p2,p3><p3,p1> of three float points.
+
+    Points within `tol` of each other in both coordinates count as
+    coincident, and a product within `tol` of zero is rejected.  For display
+    and diagnostics; never for certification.
+    """
+    if (_approx_equal(p1, p2, tol) or _approx_equal(p2, p3, tol)
+            or _approx_equal(p1, p3, tol)):
+        raise CoincidentPointsError("angular invariant needs distinct points")
+    l1, l2, l3 = _lift_approx(p1), _lift_approx(p2), _lift_approx(p3)
+    eta = -(_herm_approx(l1, l2) * _herm_approx(l2, l3) * _herm_approx(l3, l1))
+    if abs(eta) <= tol:
+        raise GeometryError("vanishing triple product")
+    return eta
+
+
+def cocycle(p1, p2, p3, p4) -> float:
     """Alternating sum of the four triple angles, reduced mod 2pi to (-pi, pi].
 
-    Contract: zero (within float tolerance) for any four distinct points.
+    Points are HPoints or float points; the angles are evaluated in machine
+    arithmetic.  Contract: zero (within float tolerance) for any four
+    distinct points.
     """
-    total = (
-        -cartan(p2, p3, p4).angle()
-        + cartan(p1, p3, p4).angle()
-        - cartan(p1, p2, p4).angle()
-        + cartan(p1, p2, p3).angle()
-    )
+    q1, q2, q3, q4 = (p.approx() if isinstance(p, HPoint) else p
+                      for p in (p1, p2, p3, p4))
+
+    def angle(a, b, c) -> float:
+        e = eta_approx(a, b, c)
+        return math.atan2(e.imag, e.real)
+
+    total = -angle(q2, q3, q4) + angle(q1, q3, q4) - angle(q1, q2, q4) + angle(q1, q2, q3)
     twopi = 2 * math.pi
     r = math.fmod(total, twopi)
     if r > math.pi:
@@ -301,33 +324,22 @@ class Chain:
         raise AttributeError("Chain is immutable")
 
     @classmethod
-    def vertical_line(cls, z0: Scalar) -> "Chain":
-        one = z0.one_like()
-        polar = NullVector(-z0.conj(), one, z0.zero_like())
+    def vertical_line(cls, z0: CycloNumber) -> "Chain":
+        polar = NullVector(-z0.conj(), ONE, ZERO)
         return cls(polar, True, z0, None, None)
 
     @classmethod
-    def finite(cls, center: Scalar, c: Scalar, r2: Scalar) -> "Chain":
+    def finite(cls, center: CycloNumber, c: CycloNumber, r2: CycloNumber) -> "Chain":
         if r2.sign() <= 0:
             raise GeometryError("finite chain needs positive squared radius")
-        one = center.one_like()
-        i = center.i_like()
-        first = (r2 - center.abs2() + i * c) / 2
-        polar = NullVector(first, center, one)
+        first = (r2 - center * center.conj() + I * c) * _HALF
+        polar = NullVector(first, center, ONE)
         return cls(polar, False, center, c, r2)
 
     def contains(self, p: HPoint) -> bool:
         if p.is_infinity:
             return self.vertical
         return herm(lift(p), self.polar).is_zero()
-
-    def orthogonality_residual(self, p: HPoint) -> float:
-        """Relative float residual of the membership equation (diagnostics)."""
-        val = herm(lift(p), self.polar).to_complex()
-        scale = max(
-            (abs(c.to_complex()) for c in self.polar.components()), default=1.0
-        )
-        return abs(val) / max(scale, 1.0)
 
     def __repr__(self):
         if self.vertical:
@@ -346,67 +358,42 @@ def chain_through(p: HPoint, q: HPoint) -> Chain:
     dz = p.z - q.z
     if dz.is_zero():
         return Chain.vertical_line(p.z)
-    i = p.z.i_like()
     # orthogonality of both lifts to (u, m, 1): linear in conj(m), conj(u)
-    rhs = (p.z.abs2() - i * p.t - q.z.abs2() + i * q.t) / 2
+    p_abs2 = p.z * p.z.conj()
+    rhs = (p_abs2 - I * p.t - q.z * q.z.conj() + I * q.t) * _HALF
     m_conj = rhs / dz
-    u_conj = -((-(p.z.abs2()) + i * p.t) / 2) - p.z * m_conj
+    u_conj = (p_abs2 - I * p.t) * _HALF - p.z * m_conj
     m = m_conj.conj()
     u = u_conj.conj()
-    r2 = 2 * u.re() + m.abs2()
+    r2 = 2 * u.re() + m * m_conj
     c = 2 * u.im()
     if r2.sign() <= 0:
         raise GeometryError("degenerate chain: nonpositive squared radius")
     return Chain.finite(m, c, r2)
 
 
-def chain_height_at(chain: Chain, z: Scalar) -> Scalar:
-    """Vertical coordinate of the chain point over projection z.
-
-    Solves the imaginary part of the membership equation; callers must supply
-    a projection on (or near, for the float backend) the projected circle.
-    """
-    if chain.vertical:
-        raise GeometryError("vertical chain is parametrized by height")
-    return chain.c - 2 * (z * chain.center.conj()).im()
-
-
-def chain_point(chain: Chain, direction: Scalar) -> HPoint:
+def chain_point(chain: Chain, direction) -> HPoint:
     """The chain point projecting to center + R * direction, |direction| = 1.
 
-    The float backend accepts any unit direction.  The exact backend needs
-    the radius in the field; it is supported when R^2 is the square of a
-    rational, which covers every fixture chain, and raises otherwise.
+    The radius must lie in the field: supported when R^2 is the square of a
+    rational, which covers every fixture chain, and an error otherwise.
+    Sampling general chains is the float work of `crlink.sampler`.
     """
     if chain.vertical:
         raise GeometryError("vertical chain has no radial parametrization")
-    mod = direction.abs2()
-    if chain.polar.v3.backend == FLOAT:
-        if abs(mod.to_complex() - 1.0) > math.sqrt(max(direction.tol, 1e-15)):
-            raise GeometryError("direction must lie on the unit circle")
-        radius = Scalar.inexact(math.sqrt(chain.r2.to_complex().real), direction.tol)
-    else:
-        if not mod.eq(Scalar.exact(1)):
-            raise GeometryError("direction must lie on the unit circle")
-        r2 = chain.r2.exact_value()
-        if not r2.is_rational():
-            raise BackendError(
-                "exact radial point needs a rational squared radius; "
-                "use the float backend for general chains"
-            )
-        frac = r2.as_fraction()
-        num = math.isqrt(frac.numerator)
-        den = math.isqrt(frac.denominator)
-        if num * num != frac.numerator or den * den != frac.denominator:
-            raise BackendError(
-                "squared radius is not a rational square; "
-                "use the float backend for general chains"
-            )
-        from fractions import Fraction
-
-        radius = Scalar.exact(Fraction(num, den))
-    z = chain.center + radius * direction
-    t = chain_height_at(chain, z)
+    direction = _field(direction)
+    if direction * direction.conj() != ONE:
+        raise GeometryError("direction must lie on the unit circle")
+    if not chain.r2.is_rational():
+        raise GeometryError("exact radial point needs a rational squared radius")
+    frac = chain.r2.as_fraction()
+    num = math.isqrt(frac.numerator)
+    den = math.isqrt(frac.denominator)
+    if num * num != frac.numerator or den * den != frac.denominator:
+        raise GeometryError("exact radial point needs a rational square as squared radius")
+    z = chain.center + direction * Fraction(num, den)
+    # the imaginary part of the membership equation fixes the height
+    t = chain.c - 2 * (z * chain.center.conj()).im()
     return HPoint(z, t)
 
 
@@ -421,11 +408,10 @@ def inversion_I(p: HPoint) -> HPoint:
     Swaps the origin and infinity; an involution on the boundary.
     """
     if p.is_infinity:
-        return HPoint(Scalar.exact(0), Scalar.exact(0))
+        return HPoint(0, 0)
     if p.z.is_zero() and p.t.is_zero():
         return INFINITY
-    i = p.z.i_like()
-    denom = p.z.abs2() - i * p.t
+    denom = p.z * p.z.conj() - I * p.t
     z = p.z / denom
     t = -p.t / (denom * denom.conj()).re()
     return HPoint(z, t)
@@ -438,17 +424,31 @@ def iota_x(p: HPoint) -> HPoint:
     return HPoint(p.z.conj(), -p.t)
 
 
-def hpoint_from_json(data, backend: str = EXACT, tol=None) -> HPoint:
-    """Point syntax of the input grammar: "inf" or {"z": expr, "t": expr}."""
-    from .scalars import DEFAULT_FLOAT_TOL, parse_scalar
-
-    tol = DEFAULT_FLOAT_TOL if tol is None else tol
-    if data == "inf":
-        return INFINITY
+def _point_fields(data):
     if not isinstance(data, dict) or set(data) - {"z", "t"}:
         raise GeometryError(f"bad point {data!r}: want \"inf\" or {{z, t}}")
-    z = parse_scalar(data.get("z", 0), backend, tol)
-    t = parse_scalar(data.get("t", 0), backend, tol)
-    return HPoint(z, t)
+    return data.get("z", 0), data.get("t", 0)
 
 
+def hpoint_from_json(data) -> HPoint:
+    """Point syntax of the input grammar: "inf" or {"z": expr, "t": expr}."""
+    if data == "inf":
+        return INFINITY
+    z, t = _point_fields(data)
+    return HPoint(parse_scalar(z), parse_scalar(t))
+
+
+def approx_point_from_json(data, tol: float = DEFAULT_FLOAT_TOL) -> FloatPoint:
+    """The same point syntax read as a float point.
+
+    Expressions are parsed exactly and then rounded; JSON numbers are taken
+    as machine numbers.  A height further than `tol` from the real axis is
+    rejected.
+    """
+    if data == "inf":
+        return None
+    z, t = (complex(x) if isinstance(x, (int, float)) else parse_scalar(x).to_complex()
+            for x in _point_fields(data))
+    if abs(t.imag) > tol:
+        raise GeometryError(f"vertical coordinate must be real, got {t}")
+    return (z, t.real)

@@ -19,7 +19,7 @@ import re as _re
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .scalars import CycloNumber, Fraction, I, ONE, Scalar, ZERO, in_ring
+from .scalars import CycloNumber, Fraction, I, ONE, ZERO, in_ring
 from .heisenberg import (
     CoincidentPointsError,
     GeometryError,
@@ -51,8 +51,6 @@ class WordError(KeyError):
 def _entry(x) -> CycloNumber:
     if isinstance(x, CycloNumber):
         return x
-    if isinstance(x, Scalar):
-        return x.exact_value()
     if isinstance(x, (int, Fraction)):
         return CycloNumber.from_rational(x)
     raise TypeError(f"cannot use {x!r} as an exact matrix entry")
@@ -302,22 +300,15 @@ class ProjIsometry:
             return ProjIsometry(inv, True, check=False)
         return ProjIsometry(inv.conj_entrywise(), False, check=False)
 
-    def form_factor(self) -> CycloNumber:
-        ok, lam = check_unitary(self.matrix)
-        assert ok
-        return lam
-
     def act_null(self, v: NullVector) -> Tuple[CycloNumber, CycloNumber, CycloNumber]:
-        comps = tuple(c.exact_value() for c in v.components())
+        comps = v.components()
         if not self.holo:
             comps = tuple(c.conj() for c in comps)
         return self.matrix.matvec(comps)
 
     def act(self, p: HPoint) -> HPoint:
-        """Boundary action; exact points only."""
-        w = self.act_null(lift(p))
-        vec = NullVector(*(Scalar.exact(c) for c in w))
-        return point_from_null(vec)
+        """Boundary action."""
+        return point_from_null(NullVector(*self.act_null(lift(p))))
 
     def same_class(self, other: "ProjIsometry") -> bool:
         if self.holo != other.holo:
@@ -352,8 +343,7 @@ def heisenberg_translation(p: HPoint) -> ProjIsometry:
     """Left translation by a finite point, as an upper-triangular unipotent."""
     if p.is_infinity:
         raise GeometryError("translation by infinity")
-    z = p.z.exact_value()
-    t = p.t.exact_value()
+    z, t = p.z, p.t
     first = (-(z * z.conj()) + I * t) * Fraction(1, 2)
     m = Mat3([[ONE, -z.conj(), first], [ZERO, ONE, z], [ZERO, ZERO, ONE]])
     return ProjIsometry(m, True, check=False)
@@ -548,7 +538,7 @@ def normalizer(p1: HPoint, p2: HPoint, p3: HPoint) -> ProjIsometry:
         raise CartanMismatchError(
             "triple lies on a chain (invariant +-pi/2); no unique normal form"
         )
-    n = dilation_rotation(c.z.exact_value().inverse()) @ n
+    n = dilation_rotation(c.z.inverse()) @ n
     return n
 
 

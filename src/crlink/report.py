@@ -78,12 +78,10 @@ class Report:
 
 
 def _jsonable(x):
-    from .scalars import CycloNumber, Scalar
+    from .scalars import CycloNumber
 
     if isinstance(x, CycloNumber):
         return {"exact": str(x), "coeffs": x.to_json_coeffs(), "approx": _cx(x.to_complex())}
-    if isinstance(x, Scalar):
-        return _jsonable(x.value) if x.backend == "exact" else _cx(x.value)
     if isinstance(x, complex):
         return _cx(x)
     if isinstance(x, dict):

@@ -7,10 +7,10 @@ coordinate vectors in the power basis 1, zeta, ..., zeta^7, reduced by the
 minimal polynomial x^8 - x^4 + 1, so equality is coefficient equality.
 
 Signs of real elements are decided by adaptive-precision interval evaluation;
-membership in Z, Z[i] and Z[omega] by exact basis solves.  A thin `Scalar`
-wrapper lets the geometry modules run either on exact field elements or on
-machine complex numbers with an explicit tolerance (used for meshes and
-sampling, never for certification).
+membership in Z, Z[i] and Z[omega] by exact basis solves.  This is the only
+number type of the geometry core: machine floats are refused here, and enter
+the program only in `crlink.sampler` and the float evaluation of the triple
+product in `crlink.heisenberg`.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from typing import Iterable, Sequence, Union
 
 
 DEGREE = 8
-
-DEFAULT_FLOAT_TOL = 1e-9
 
 _ENV_PRECISION_BITS = "CRH_PRECISION_BITS"
 _DEFAULT_PRECISION_BITS = 4096
@@ -37,8 +35,8 @@ class PrecisionError(ArithmeticError):
     """Interval refinement hit the precision cap without resolving a sign."""
 
 
-class BackendError(TypeError):
-    """Exact and float scalars were mixed, or a backend lacks an operation."""
+class SettingError(ValueError):
+    """An environment setting holds an unusable value."""
 
 
 class UnknownConstantError(ValueError):
@@ -46,7 +44,7 @@ class UnknownConstantError(ValueError):
 
 
 class ParseError(ValueError):
-    """Scalar expression could not be parsed."""
+    """An expression for a field element could not be parsed."""
 
     def __init__(self, message, position=None):
         super().__init__(message if position is None else f"{message} (at {position})")
@@ -458,7 +456,13 @@ def _sqrt_enclosure(n: int, digits: int):
 
 
 def _precision_cap_digits() -> int:
-    bits = int(os.environ.get(_ENV_PRECISION_BITS, _DEFAULT_PRECISION_BITS))
+    raw = os.environ.get(_ENV_PRECISION_BITS, str(_DEFAULT_PRECISION_BITS))
+    try:
+        bits = int(raw)
+    except ValueError:
+        raise SettingError(
+            f"{_ENV_PRECISION_BITS} must be an integer number of bits, got {raw!r}"
+        ) from None
     return max(12, bits * 30103 // 100000)  # log10(2) = 0.30103
 
 
@@ -548,220 +552,6 @@ def in_ring(x: CycloNumber, ring: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# backend wrapper
-# ---------------------------------------------------------------------------
-
-EXACT = "exact"
-FLOAT = "float"
-
-
-class Scalar:
-    """A number carried by one of two backends.
-
-    exact  -- a CycloNumber; comparisons are decisions.
-    float  -- a machine complex; comparisons hold within `tol`.
-
-    Backends never mix implicitly: combining an exact and a float scalar
-    raises BackendError.  Conversion is explicit via `to_float`.
-    """
-
-    __slots__ = ("backend", "value", "tol")
-
-    def __init__(self, backend: str, value, tol: float = DEFAULT_FLOAT_TOL):
-        if backend not in (EXACT, FLOAT):
-            raise BackendError(f"unknown backend {backend!r}")
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "tol", float(tol))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Scalar is immutable")
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def exact(cls, x) -> "Scalar":
-        if isinstance(x, Scalar):
-            if x.backend != EXACT:
-                raise BackendError("exact() got a float-backed scalar")
-            return x
-        if isinstance(x, CycloNumber):
-            return cls(EXACT, x)
-        return cls(EXACT, CycloNumber.from_rational(x))
-
-    @classmethod
-    def inexact(cls, z, tol: float = DEFAULT_FLOAT_TOL) -> "Scalar":
-        if isinstance(z, Scalar):
-            return z.to_float(tol)
-        return cls(FLOAT, complex(z), tol)
-
-    def to_float(self, tol: float = None) -> "Scalar":
-        t = self.tol if tol is None else tol
-        if self.backend == FLOAT:
-            return Scalar(FLOAT, self.value, t)
-        return Scalar(FLOAT, self.value.to_complex(), t)
-
-    # -- helpers --------------------------------------------------------------
-
-    def _peer(self, other):
-        if isinstance(other, Scalar):
-            if other.backend != self.backend:
-                raise BackendError(
-                    f"cannot mix {self.backend} and {other.backend} scalars"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            if self.backend == EXACT:
-                return Scalar.exact(other)
-            return Scalar(FLOAT, complex(other), self.tol)
-        if isinstance(other, (float, complex)):
-            if self.backend == EXACT:
-                raise BackendError("cannot mix machine floats into exact scalars")
-            return Scalar(FLOAT, complex(other), self.tol)
-        if isinstance(other, CycloNumber):
-            if self.backend != EXACT:
-                raise BackendError("cannot mix exact values into float scalars")
-            return Scalar.exact(other)
-        return None
-
-    def _wrap(self, value, other=None):
-        tol = self.tol if other is None else max(self.tol, other.tol)
-        return Scalar(self.backend, value, tol)
-
-    def one_like(self) -> "Scalar":
-        return self._wrap(ONE if self.backend == EXACT else 1.0 + 0j)
-
-    def zero_like(self) -> "Scalar":
-        return self._wrap(ZERO if self.backend == EXACT else 0j)
-
-    def i_like(self) -> "Scalar":
-        return self._wrap(I if self.backend == EXACT else 1j)
-
-    # -- arithmetic -------------------------------------------------------------
-
-    def __add__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(self.value + o.value, o)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(self.value - o.value, o)
-
-    def __rsub__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(o.value - self.value, o)
-
-    def __neg__(self):
-        return self._wrap(-self.value)
-
-    def __mul__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(self.value * o.value, o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("scalar division by zero")
-        return self._wrap(self.value / o.value, o)
-
-    def __rtruediv__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero():
-            raise ZeroDivisionError("scalar division by zero")
-        return self._wrap(o.value / self.value, o)
-
-    # -- structure ----------------------------------------------------------------
-
-    def conj(self) -> "Scalar":
-        if self.backend == EXACT:
-            return self._wrap(self.value.conj())
-        return self._wrap(self.value.conjugate())
-
-    def re(self) -> "Scalar":
-        if self.backend == EXACT:
-            return self._wrap(self.value.re())
-        return self._wrap(complex(self.value.real, 0.0))
-
-    def im(self) -> "Scalar":
-        if self.backend == EXACT:
-            return self._wrap(self.value.im())
-        return self._wrap(complex(self.value.imag, 0.0))
-
-    def abs2(self) -> "Scalar":
-        return self * self.conj()
-
-    def is_zero(self) -> bool:
-        if self.backend == EXACT:
-            return self.value.is_zero()
-        return abs(self.value) <= self.tol
-
-    def is_real(self) -> bool:
-        if self.backend == EXACT:
-            return self.value.is_real()
-        return abs(self.value.imag) <= self.tol
-
-    def sign(self) -> int:
-        if self.backend == EXACT:
-            return self.value.sign()
-        if not self.is_real():
-            raise NotRealError(f"sign of non-real float scalar {self.value}")
-        if abs(self.value.real) <= self.tol:
-            return 0
-        return 1 if self.value.real > 0 else -1
-
-    def eq(self, other) -> bool:
-        o = self._peer(other)
-        if o is None:
-            raise BackendError(f"cannot compare scalar with {other!r}")
-        if self.backend == EXACT:
-            return self.value == o.value
-        return abs(self.value - o.value) <= max(self.tol, o.tol)
-
-    def __eq__(self, other):
-        try:
-            return self.eq(other)
-        except BackendError:
-            return NotImplemented
-
-    def __hash__(self):
-        return hash((self.backend, self.value))
-
-    def to_complex(self) -> complex:
-        if self.backend == EXACT:
-            return self.value.to_complex()
-        return self.value
-
-    def exact_value(self) -> CycloNumber:
-        if self.backend != EXACT:
-            raise BackendError("float scalar has no exact value")
-        return self.value
-
-    def __str__(self):
-        if self.backend == EXACT:
-            return str(self.value)
-        return format(self.value, ".12g")
-
-    def __repr__(self):
-        return f"Scalar[{self.backend}]({self})"
-
-
-# ---------------------------------------------------------------------------
 # expression grammar
 # ---------------------------------------------------------------------------
 
@@ -799,11 +589,9 @@ def _tokenize(text: str):
 
 
 class _ExprParser:
-    def __init__(self, tokens, backend, tol):
+    def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-        self.backend = backend
-        self.tol = tol
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -813,13 +601,13 @@ class _ExprParser:
         self.pos += 1
         return tok
 
-    def parse(self) -> Scalar:
+    def parse(self) -> CycloNumber:
         value = self.expr()
         if self.pos != len(self.tokens):
             raise ParseError("trailing input", self.tokens[self.pos][1])
         return value
 
-    def expr(self) -> Scalar:
+    def expr(self) -> CycloNumber:
         value = self.term()
         while self.peek() in ("+", "-"):
             op, _ = self.next()
@@ -827,7 +615,7 @@ class _ExprParser:
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def term(self) -> Scalar:
+    def term(self) -> CycloNumber:
         value = self.factor()
         while self.peek() in ("*", "/"):
             op, _ = self.next()
@@ -835,7 +623,7 @@ class _ExprParser:
             value = value * rhs if op == "*" else value / rhs
         return value
 
-    def factor(self) -> Scalar:
+    def factor(self) -> CycloNumber:
         negate = False
         while self.peek() == "-":
             self.next()
@@ -850,16 +638,10 @@ class _ExprParser:
             tok, pos = self.next() if self.peek() else (None, -1)
             if tok is None or not tok.startswith("num:") or "." in tok:
                 raise ParseError("exponent must be an integer", pos)
-            n = sign * int(tok[4:])
-            value = self._power(value, n)
+            value = value ** (sign * int(tok[4:]))
         return -value if negate else value
 
-    def _power(self, base: Scalar, n: int) -> Scalar:
-        if base.backend == EXACT:
-            return Scalar(EXACT, base.value ** n, base.tol)
-        return Scalar(FLOAT, base.value ** n, base.tol)
-
-    def atom(self) -> Scalar:
+    def atom(self) -> CycloNumber:
         if self.peek() is None:
             raise ParseError("unexpected end of expression")
         tok, pos = self.next()
@@ -871,45 +653,34 @@ class _ExprParser:
             return value
         if tok.startswith("num:"):
             text = tok[4:]
-            if self.backend == EXACT:
-                if "." in text:
-                    whole, frac = text.split(".", 1)
-                    num = Fraction(int((whole or "0") + frac), 10 ** len(frac))
-                else:
-                    num = Fraction(text)
-                return Scalar.exact(num)
-            return Scalar(FLOAT, complex(float(text)), self.tol)
+            if "." in text:
+                whole, frac = text.split(".", 1)
+                num = Fraction(int((whole or "0") + frac), 10 ** len(frac))
+            else:
+                num = Fraction(text)
+            return CycloNumber.from_rational(num)
         if tok.startswith("name:"):
-            name = tok[5:]
-            c = constant(name)
-            if self.backend == EXACT:
-                return Scalar(EXACT, c)
-            return Scalar(FLOAT, c.to_complex(), self.tol)
+            return constant(tok[5:])
         raise ParseError(f"unexpected token {tok!r}", pos)
 
 
-def parse_scalar(source, backend: str = EXACT, tol: float = DEFAULT_FLOAT_TOL) -> Scalar:
-    """Parse a scalar from the JSON input grammar.
+def parse_scalar(source) -> CycloNumber:
+    """Parse a field element from the JSON input grammar.
 
     Accepts the coefficient wire form (a list of eight 'num/den' strings),
-    plain numbers, or expressions over the named constants combined with
-    + - * / ^ and parentheses, e.g. "2+sqrt3" or "-(1+sqrt2)/2".
+    integers, or expressions over the named constants combined with
+    + - * / ^ and parentheses, e.g. "2+sqrt3" or "-(1+sqrt2)/2".  Machine
+    floats are rejected: they are not exact.
     """
-    if isinstance(source, Scalar):
+    if isinstance(source, CycloNumber):
         return source
     if isinstance(source, (list, tuple)):
-        value = CycloNumber.from_json_coeffs(source)
-        scalar = Scalar(EXACT, value)
-        return scalar if backend == EXACT else scalar.to_float(tol)
+        return CycloNumber.from_json_coeffs(source)
     if isinstance(source, (int, Fraction)):
-        return Scalar.exact(source) if backend == EXACT else Scalar(FLOAT, complex(source), tol)
-    if isinstance(source, float):
-        if backend == EXACT:
-            raise BackendError("machine float input requires the float backend")
-        return Scalar(FLOAT, complex(source), tol)
+        return CycloNumber.from_rational(source)
     if not isinstance(source, str):
-        raise ParseError(f"cannot parse scalar from {type(source).__name__}")
+        raise ParseError(f"cannot parse an exact scalar from {type(source).__name__}")
     tokens = _tokenize(source)
     if not tokens:
         raise ParseError("empty scalar expression")
-    return _ExprParser(tokens, backend, tol).parse()
+    return _ExprParser(tokens).parse()

@@ -9,27 +9,22 @@ tilde-primed at q2), each family closed under x -> 1/(1-x) -> 1 - 1/x.
 
 Faces are filled by the diverging-rays procedure: chain segments swept from
 an apex vertex across an opposite edge.  Sampling and the non-certifying
-disjointness check run on the float backend with numpy.
+disjointness check are float work in `crlink.sampler`; this module imports
+it, and with it numpy, on the first sampling call only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-import numpy as np
-
-from .scalars import CycloNumber, EXACT, ONE, Scalar, I as I_UNIT
+from .scalars import CycloNumber, ONE, I as I_UNIT
 from .heisenberg import (
-    Chain,
     ChainInvariantError,
     GeometryError,
     HPoint,
     INFINITY,
     cartan,
-    chain_point,
-    chain_through,
 )
 from .isometry import ProjIsometry, normalizer
 
@@ -71,14 +66,6 @@ def invariant_label(letter: str, family: str, index: int) -> str:
     return f"{letter}{tilde}{index}{prime}"
 
 
-def _exact(x) -> CycloNumber:
-    if isinstance(x, Scalar):
-        return x.exact_value()
-    if isinstance(x, CycloNumber):
-        return x
-    return CycloNumber.from_rational(x)
-
-
 class TetraParams:
     """The invariant system z, z', z-tilde, z-tilde' with heights t, s.
 
@@ -90,14 +77,14 @@ class TetraParams:
 
     def __init__(self, z1, z1p, z1t, z1tp, t, s):
         for name, val in (("t", t), ("s", s)):
-            if not _exact(val).is_real():
+            if not val.is_real():
                 raise DegenerateTetrahedronError(f"height {name} must be real")
-        object.__setattr__(self, "z1", _exact(z1))
-        object.__setattr__(self, "z1p", _exact(z1p))
-        object.__setattr__(self, "z1t", _exact(z1t))
-        object.__setattr__(self, "z1tp", _exact(z1tp))
-        object.__setattr__(self, "t", _exact(t))
-        object.__setattr__(self, "s", _exact(s))
+        object.__setattr__(self, "z1", z1)
+        object.__setattr__(self, "z1p", z1p)
+        object.__setattr__(self, "z1t", z1t)
+        object.__setattr__(self, "z1tp", z1tp)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "s", s)
 
     def __setattr__(self, *a):
         raise AttributeError("TetraParams is immutable")
@@ -105,9 +92,6 @@ class TetraParams:
     @classmethod
     def from_zts(cls, z, t, s) -> "TetraParams":
         """Parameters of the tetrahedron (inf, 0, (1,t), (z, s|z|^2))."""
-        z = _exact(z)
-        t = _exact(t)
-        s = _exact(s)
         if z.is_zero() or z == ONE:
             raise DegenerateTetrahedronError("fourth vertex parameter in {0, 1}")
         i = I_UNIT
@@ -162,7 +146,6 @@ class TetraParams:
 
 def ts_from_params(z, zp, zt, ztp) -> Tuple[CycloNumber, CycloNumber]:
     """Recover the heights t, s from the four first-members of the families."""
-    z, zp, zt, ztp = _exact(z), _exact(zp), _exact(zt), _exact(ztp)
     i = I_UNIT
     t_num = z * zp - z - zt * zp + zt * zp * z
     t_den = -(z * zp) + z - zt * zp + zt * zp * z
@@ -185,13 +168,11 @@ class Tetrahedron:
     __slots__ = ("points", "edge_flags")
 
     def __init__(self, p1: HPoint, p2: HPoint, q1: HPoint, q2: HPoint,
-                 edge_flags: Optional[Dict[frozenset, int]] = None,
-                 validate: bool = True):
+                 edge_flags: Optional[Dict[frozenset, int]] = None):
         pts = {"p1": p1, "p2": p2, "q1": q1, "q2": q2}
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "edge_flags", dict(edge_flags or {}))
-        if validate:
-            self._validate()
+        self._validate()
 
     def __setattr__(self, *a):
         raise AttributeError("Tetrahedron is immutable")
@@ -204,30 +185,15 @@ class Tetrahedron:
                     raise DegenerateTetrahedronError(
                         f"vertices {roles[a]} and {roles[b]} coincide"
                     )
-        if self._backend() == EXACT:
-            for skip in roles:
-                triple = [self.points[r] for r in roles if r != skip]
-                if cartan(*triple).is_right_angle():
-                    raise DegenerateTetrahedronError(
-                        f"vertices {[r for r in roles if r != skip]} lie on a chain"
-                    )
-
-    def _backend(self) -> str:
-        for r in VERTEX_ROLES:
-            p = self.points[r]
-            if not p.is_infinity:
-                return p.z.backend
-        raise DegenerateTetrahedronError("all vertices at infinity")
+        for skip in roles:
+            triple = [self.points[r] for r in roles if r != skip]
+            if cartan(*triple).is_right_angle():
+                raise DegenerateTetrahedronError(
+                    f"vertices {[r for r in roles if r != skip]} lie on a chain"
+                )
 
     def __getitem__(self, role: str) -> HPoint:
         return self.points[role]
-
-    def to_float(self, tol=None) -> "Tetrahedron":
-        return Tetrahedron(
-            *(self.points[r].to_float(tol) for r in VERTEX_ROLES),
-            edge_flags=self.edge_flags,
-            validate=False,
-        )
 
     def __repr__(self):
         inner = ", ".join(f"{r}={self.points[r]}" for r in VERTEX_ROLES)
@@ -236,12 +202,11 @@ class Tetrahedron:
 
 def realize_zts(z, t, s) -> Tetrahedron:
     """The normalized tetrahedron (inf, 0, (1, t), (z, s|z|^2))."""
-    z, t, s = _exact(z), _exact(t), _exact(s)
     return Tetrahedron(
         INFINITY,
-        HPoint.exact(0, 0),
-        HPoint.exact(ONE, t),
-        HPoint.exact(z, s * z * z.conj()),
+        HPoint(0, 0),
+        HPoint(ONE, t),
+        HPoint(z, s * z * z.conj()),
     )
 
 
@@ -251,18 +216,12 @@ def realize_special(direction, height) -> Tetrahedron:
     `direction` is the unit complex u = e^{i theta} (kept as a field element,
     never as a radian measure); `height` is a positive real.
     """
-    u = _exact(direction)
-    h = _exact(height)
+    u, h = direction, height
     if u * u.conj() != ONE:
         raise DegenerateTetrahedronError("direction must have unit modulus")
     if not h.is_real() or h.sign() <= 0:
         raise DegenerateTetrahedronError("height must be a positive real")
-    return Tetrahedron(
-        HPoint.exact(CycloNumber.from_rational(0), h),
-        HPoint.exact(CycloNumber.from_rational(0), -h),
-        HPoint.exact(ONE, 0),
-        HPoint.exact(u, 0),
-    )
+    return Tetrahedron(HPoint(0, h), HPoint(0, -h), HPoint(ONE, 0), HPoint(u, 0))
 
 
 def normalizing_map(tet: Tetrahedron) -> ProjIsometry:
@@ -271,21 +230,18 @@ def normalizing_map(tet: Tetrahedron) -> ProjIsometry:
 
 
 def params_from_points(tet: Tetrahedron) -> TetraParams:
-    """Extract the parameter system from an arbitrary exact tetrahedron."""
-    if tet._backend() != EXACT:
-        raise DegenerateTetrahedronError("parameters need the exact backend")
+    """Extract the parameter system from an arbitrary tetrahedron."""
     n = normalizing_map(tet)
-    q1n = n.act(tet["q1"])
-    t = q1n.t.exact_value()
+    t = n.act(tet["q1"]).t
     q2n = n.act(tet["q2"])
     if q2n.is_infinity:
         raise DegenerateTetrahedronError("normalization sent q2 to infinity")
-    z = q2n.z.exact_value()
+    z = q2n.z
     if z.is_zero() or z == ONE:
         raise DegenerateTetrahedronError(
             f"degenerate fourth-vertex parameter z = {z}"
         )
-    s = q2n.t.exact_value() / (z * z.conj())
+    s = q2n.t / (z * z.conj())
     return TetraParams.from_zts(z, t, s)
 
 
@@ -334,8 +290,7 @@ def special_symmetric(direction, height) -> TetraParams:
     ((h + i)/(h - i))^2; the symmetric relations fill in the primed members
     and the common height.
     """
-    u = _exact(direction)
-    h = _exact(height)
+    u, h = direction, height
     if u * u.conj() != ONE:
         raise DegenerateTetrahedronError("direction must have unit modulus")
     if not h.is_real() or h.sign() <= 0:
@@ -355,7 +310,6 @@ def cartan_tangents(z, t, s) -> Tuple[CycloNumber, ...]:
     Order: (p1,p2,q1), (p1,q1,q2), (p1,p2,q2), (p2,q1,q2).  Raises
     ChainInvariantError when a triple lies on a chain (tangent undefined).
     """
-    z, t, s = _exact(z), _exact(t), _exact(s)
     if z.is_zero() or z == ONE:
         raise DegenerateTetrahedronError("tangent formulas need z outside {0, 1}")
     i = I_UNIT
@@ -393,91 +347,17 @@ FACE_RECIPE = {
 FACES = tuple(sorted(FACE_RECIPE))
 
 
-def _direction_of(chain: Chain, p: HPoint):
-    z = p.z.to_complex() if not p.is_infinity else None
-    if z is None:
-        raise GeometryError("infinite point has no radial direction")
-    m = chain.center.to_complex()
-    r = math.sqrt(chain.r2.to_complex().real)
-    return (z - m) / r
+def _sampler():
+    from . import sampler  # imports numpy, on the first sampling call only
 
-
-def _arc_samples(chain: Chain, a: HPoint, b: HPoint, count: int,
-                 orientation: int = 0, include_ends: bool = True):
-    """Points along the chain segment from a to b (float backend).
-
-    Default segment: the arc containing the normalized midpoint direction of
-    the endpoints (the shorter way round); an explicit orientation of +1/-1
-    forces the counterclockwise/clockwise arc instead.
-    """
-    da = _direction_of(chain, a)
-    db = _direction_of(chain, b)
-    ta, tb = math.atan2(da.imag, da.real), math.atan2(db.imag, db.real)
-    delta = math.fmod(tb - ta, 2 * math.pi)
-    if delta > math.pi:
-        delta -= 2 * math.pi
-    elif delta <= -math.pi:
-        delta += 2 * math.pi
-    if orientation > 0 and delta < 0:
-        delta += 2 * math.pi
-    elif orientation < 0 and delta > 0:
-        delta -= 2 * math.pi
-    if abs(delta) < 1e-12 or (orientation == 0 and abs(abs(delta) - math.pi) < 1e-9):
-        raise GeometryError(
-            "ambiguous chain segment: endpoints antipodal, set an orientation flag"
-        )
-    pts = []
-    for frac in _unit_params(count, include_ends):
-        theta = ta + delta * frac
-        direction = Scalar.inexact(complex(math.cos(theta), math.sin(theta)),
-                                   chain.center.tol)
-        pts.append(chain_point(chain, direction))
-    return pts
-
-
-def _unit_params(count: int, include_ends: bool = True):
-    """`count` parameters in [0, 1]; a single sample sits at the midpoint."""
-    if count == 1:
-        return [0.5]
-    if include_ends:
-        return [k / (count - 1) for k in range(count)]
-    return [k / (count + 1) for k in range(1, count + 1)]
-
-
-def _vertical_samples(a: HPoint, b: HPoint, count: int):
-    """Samples along the finite vertical segment between two stacked points."""
-    z = a.z
-    ta = a.t.to_complex().real
-    tb = b.t.to_complex().real
-    return [
-        HPoint(z, Scalar.inexact(complex(ta + (tb - ta) * f, 0), z.tol))
-        for f in _unit_params(count)
-    ]
-
-
-def _vertical_ray(p: HPoint, count: int, span: float):
-    """The +infinity half of the vertical chain through a finite point."""
-    z = p.z
-    t0 = p.t.to_complex().real
-    return [
-        HPoint(z, Scalar.inexact(complex(t0 + span * f, 0), z.tol))
-        for f in _unit_params(count)
-    ]
+    return sampler
 
 
 def segment_samples(a: HPoint, b: HPoint, count: int, span: float = 8.0,
-                     orientation: int = 0):
-    """Chain segment between two boundary points, as float sample points."""
-    if a.is_infinity and b.is_infinity:
-        raise GeometryError("no segment between two copies of infinity")
-    if a.is_infinity:
-        return list(reversed(_vertical_ray(b, count, span)))
-    if b.is_infinity:
-        return _vertical_ray(a, count, span)
-    chain = chain_through(a, b)
-    if chain.vertical:
-        return _vertical_samples(a, b, count)
-    return _arc_samples(chain, a, b, count, orientation)
+                    orientation: int = 0):
+    """Chain segment between two boundary points, sampled as an (n, 3)
+    float array of (Re z, Im z, t)."""
+    return _sampler().segment(a.approx(), b.approx(), count, span, orientation)
 
 
 @dataclass(frozen=True)
@@ -486,11 +366,8 @@ class FaceSample:
 
     apex: str
     edge: Tuple[str, str]
-    polylines: List[np.ndarray]
+    polylines: list  # (n, 3) float arrays of (Re z, Im z, t)
     max_residual: float
-
-    def point_cloud(self) -> np.ndarray:
-        return np.concatenate(self.polylines, axis=0)
 
 
 def face_sample(tet: Tetrahedron, apex: str, edge: Tuple[str, str],
@@ -508,31 +385,16 @@ def face_sample(tet: Tetrahedron, apex: str, edge: Tuple[str, str],
         raise GeometryError(
             f"face ({apex}; {edge}) is not produced by the diverging-rays procedure"
         )
-    ft = tet.to_float()
-    rays = ray_count if ray_count is not None else max(2, count)
-    a, b = ft[edge[0]], ft[edge[1]]
-    flag = tet.edge_flags.get(frozenset(edge), 0)
-    base_points = segment_samples(a, b, count, span, flag)
-    apex_pt = ft[apex]
-    polylines = []
-    worst = 0.0
-    for target in base_points:
-        if target == apex_pt:
-            continue
-        if apex_pt.is_infinity or target.is_infinity:
-            ray = segment_samples(apex_pt, target, rays, span)
-            chain = None
-        else:
-            chain = chain_through(apex_pt, target)
-            ray_flag = tet.edge_flags.get(frozenset((apex, "ray")), 0)
-            if chain.vertical:
-                ray = _vertical_samples(apex_pt, target, rays)
-            else:
-                ray = _arc_samples(chain, apex_pt, target, rays, ray_flag)
-        if chain is not None:
-            for s in ray:
-                worst = max(worst, chain.orthogonality_residual(s))
-        polylines.append(np.array([s.coords() for s in ray]))
+    polylines, worst = _sampler().face(
+        tet[apex].approx(),
+        tet[edge[0]].approx(),
+        tet[edge[1]].approx(),
+        count,
+        ray_count if ray_count is not None else max(2, count),
+        span,
+        tet.edge_flags.get(frozenset(edge), 0),
+        tet.edge_flags.get(frozenset((apex, "ray")), 0),
+    )
     return FaceSample(apex, edge, polylines, worst)
 
 
@@ -571,40 +433,22 @@ def faces_disjoint(tet: Tetrahedron, count: int = 64, tol: float = 1e-3,
     if count < 16:
         raise ValueError("need at least 16 samples per direction")
     exclusion = 40 * tol if exclusion is None else exclusion
+    sampler = _sampler()
     faces = sample_all_faces(tet, count, span=span)
-    ft = tet.to_float()
-    clouds = [f.point_cloud() for f in faces]
+    clouds = [sampler.cloud(f.polylines) for f in faces]
 
-    def dense_cell(cell) -> np.ndarray:
+    def dense_cell(cell):
         u, v = tuple(cell)
-        pts = segment_samples(ft[u], ft[v], 4 * count, span,
+        return segment_samples(tet[u], tet[v], 4 * count, span,
                                tet.edge_flags.get(frozenset((u, v)), 0))
-        return np.array([p.coords() for p in pts])
-
-    def away_from(cloud: np.ndarray, obstacles: Sequence[np.ndarray]) -> np.ndarray:
-        if exclusion <= 0:
-            return cloud
-        keep = np.ones(len(cloud), dtype=bool)
-        for obs in obstacles:
-            d = _min_dist_to(cloud, obs)
-            keep &= d > exclusion
-        return cloud[keep]
 
     result = {}
-    overall = math.inf
     for i in range(len(faces)):
         for j in range(i + 1, len(faces)):
-            shared = _shared_edges(faces[i], faces[j])
-            obstacles = [dense_cell(cell) for cell in shared]
-            a = away_from(clouds[i], obstacles)
-            b = away_from(clouds[j], obstacles)
+            obstacles = [dense_cell(cell) for cell in _shared_edges(faces[i], faces[j])]
             key = f"({faces[i].apex};{'-'.join(faces[i].edge)})x({faces[j].apex};{'-'.join(faces[j].edge)})"
-            if len(a) == 0 or len(b) == 0:
-                result[key] = math.inf
-                continue
-            d = float(_min_dist_between(a, b))
-            result[key] = d
-            overall = min(overall, d)
+            result[key] = sampler.min_distance(clouds[i], clouds[j], obstacles, exclusion)
+    overall = min(result.values())
     return DisjointnessReport(
         min_distance=overall,
         tol=tol,
@@ -612,22 +456,3 @@ def faces_disjoint(tet: Tetrahedron, count: int = 64, tol: float = 1e-3,
         pair_distances=result,
         passed=overall > tol,
     )
-
-
-def _cross_dist2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # |a-b|^2 = |a|^2 + |b|^2 - 2 a.b via one BLAS call
-    d2 = (
-        (a * a).sum(axis=1)[:, None]
-        + (b * b).sum(axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
-def _min_dist_to(cloud: np.ndarray, obstacle: np.ndarray) -> np.ndarray:
-    return np.sqrt(_cross_dist2(cloud, obstacle).min(axis=1))
-
-
-def _min_dist_between(a: np.ndarray, b: np.ndarray) -> float:
-    return math.sqrt(float(_cross_dist2(a, b).min()))

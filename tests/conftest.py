@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from crlink.scalars import CycloNumber, ONE, Scalar
+from crlink.scalars import CycloNumber, ONE
 from crlink.heisenberg import HPoint
 
 
@@ -30,7 +30,7 @@ def random_complex_coord(rng: random.Random) -> CycloNumber:
 def random_hpoint(rng: random.Random) -> HPoint:
     z = random_complex_coord(rng)
     t = CycloNumber.from_rational(random_rational(rng))
-    return HPoint.exact(z, t)
+    return HPoint(z, t)
 
 
 def distinct_hpoints(rng: random.Random, count: int):

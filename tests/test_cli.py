@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,3 +228,63 @@ def test_mesh_custom_tetra(tmp_path, capsys):
     )
     assert code == 0
     assert out_path.exists()
+
+
+def test_query_cartan_float_machine_numbers_and_tol(capsys):
+    inline = '{"points": ["inf", {"z": 0, "t": 0}, {"z": 0.5, "t": 0.25}]}'
+    code, out, _ = run(capsys, "query", "cartan", "--json", "--backend", "float",
+                       "--inline", inline)
+    assert code == 0
+    witness = json.loads(out)["checks"][0]["witness"]
+    assert witness["tan"]["approx"]["re"] == pytest.approx(1.0)
+    assert witness["angle_approx"] == pytest.approx(math.pi / 4)
+    # machine numbers are not exact input
+    code, _, err = run(capsys, "query", "cartan", "--inline", inline)
+    assert code == 2 and "float" in err
+    # points closer than --tol coincide
+    close = '{"points": ["inf", {"z": 0, "t": 0}, {"z": 1e-4, "t": 0}]}'
+    for tol, want in (("1e-3", 2), ("1e-9", 0)):
+        code, _, err = run(capsys, "query", "cartan", "--backend", "float",
+                           "--tol", tol, "--inline", close)
+        assert code == want, err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_mesh_rejects_nonpositive_samples(tmp_path, capsys, samples):
+    out_path = tmp_path / "none.obj"
+    code, _, err = run(
+        capsys, "mesh", "--fixture", "standard", "--samples", samples, "-o", str(out_path)
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and "--samples" in err
+    assert not out_path.exists()
+
+
+def test_bad_precision_setting_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("CRH_PRECISION_BITS", "abc")
+    code, _, err = run(
+        capsys, "query", "classify",
+        "--inline", '{"matrix": [["1","0","0"],["0","1","0"],["0","0","1"]]}',
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and "CRH_PRECISION_BITS" in err
+
+
+def test_exact_paths_do_not_import_numpy():
+    # numpy is loaded by the mesh sampler only
+    probe = (
+        "import sys, contextlib, io\n"
+        "import crlink\n"
+        "assert 'numpy' not in sys.modules, 'import crlink'\n"
+        "from crlink.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['verify', 'all', '--json']) == 0\n"
+        "    assert main(['query', 'cartan', '--inline',\n"
+        "                 '{\"points\": [\"inf\", {\"z\":\"0\",\"t\":\"0\"}, {\"z\":\"1\",\"t\":\"sqrt3\"}]}']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'verify or query'\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

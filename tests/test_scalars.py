@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crlink.scalars import (
-    BackendError,
     CycloNumber,
     I,
     NotRealError,
@@ -18,7 +17,6 @@ from crlink.scalars import (
     SQRT2,
     SQRT3,
     SQRT6,
-    Scalar,
     UnknownConstantError,
     ZERO,
     ZETA24,
@@ -188,40 +186,51 @@ def test_in_ring_closed_under_operations(rng):
 
 
 def test_scalar_backend_separation():
-    e = Scalar.exact(SQRT2)
-    f = Scalar.inexact(1.5 + 0j)
-    with pytest.raises(BackendError):
-        e + f
-    with pytest.raises(BackendError):
-        e * 1.5
-    assert (e.to_float() + f).to_complex() == pytest.approx(1.5 + math.sqrt(2))
+    # a machine float cannot enter the exact core
+    from crlink.heisenberg import HPoint
+
+    with pytest.raises(TypeError):
+        SQRT2 + 1.5
+    with pytest.raises(TypeError):
+        SQRT2 * 1.5
+    with pytest.raises(TypeError):
+        HPoint(1.5, 0)
+    with pytest.raises(ParseError):
+        parse_scalar(1.5)
+    assert (SQRT2.to_complex() + 1.5) == pytest.approx(1.5 + math.sqrt(2))
 
 
 def test_scalar_float_tolerance():
-    a = Scalar.inexact(1.0, tol=1e-6)
-    b = Scalar.inexact(1.0 + 5e-7, tol=1e-6)
-    assert a.eq(b)
-    assert not a.eq(Scalar.inexact(1.01, tol=1e-6))
-    assert Scalar.inexact(1e-8, tol=1e-6).is_zero()
+    # float cartan evaluation: points within --tol of each other coincide
+    from crlink.heisenberg import CoincidentPointsError, GeometryError, eta_approx
+
+    a, c = (1.0 + 0j, 0.0), (0j, 1.0)
+    with pytest.raises(CoincidentPointsError):
+        eta_approx(a, (1.0 + 5e-7j, 0.0), c, tol=1e-6)
+    with pytest.raises(CoincidentPointsError):
+        eta_approx(None, c, None, tol=1e-6)
+    assert eta_approx(a, (1.01 + 0j, 0.0), c, tol=1e-6) != 0
+    with pytest.raises(GeometryError):  # |eta| within tol of zero
+        eta_approx(a, (1.0001 + 0j, 0.0), c, tol=1e-6)
 
 
 def test_scalar_exact_ops():
-    a = Scalar.exact(SQRT3)
-    assert (a * a).exact_value() == CycloNumber.from_rational(3)
+    a = SQRT3
+    assert a * a == CycloNumber.from_rational(3)
     assert a.sign() == 1
     assert (-a).sign() == -1
-    assert a.conj().eq(a)
+    assert a.conj() == a
 
 
 def test_parse_expressions():
-    assert parse_scalar("2+sqrt3").exact_value() == 2 + SQRT3
-    assert parse_scalar("-(1+sqrt2)").exact_value() == -(1 + SQRT2)
-    assert parse_scalar("omega^2*(1+i)/2").exact_value() == OMEGA ** 2 * (ONE + I) / 2
-    assert parse_scalar("zeta24^-4").exact_value() == ZETA24 ** -4
-    assert parse_scalar("3/2").exact_value() == CycloNumber.from_rational(Fraction(3, 2))
-    assert parse_scalar("1.25").exact_value() == CycloNumber.from_rational(Fraction(5, 4))
+    assert parse_scalar("2+sqrt3") == 2 + SQRT3
+    assert parse_scalar("-(1+sqrt2)") == -(1 + SQRT2)
+    assert parse_scalar("omega^2*(1+i)/2") == OMEGA ** 2 * (ONE + I) / 2
+    assert parse_scalar("zeta24^-4") == ZETA24 ** -4
+    assert parse_scalar("3/2") == CycloNumber.from_rational(Fraction(3, 2))
+    assert parse_scalar("1.25") == CycloNumber.from_rational(Fraction(5, 4))
     coeffs = (SQRT2 / 3).to_json_coeffs()
-    assert parse_scalar(coeffs).exact_value() == SQRT2 / 3
+    assert parse_scalar(coeffs) == SQRT2 / 3
 
 
 def test_parse_errors():
@@ -231,8 +240,11 @@ def test_parse_errors():
 
 
 def test_float_backend_parse():
-    s = parse_scalar("sqrt2/2 + i*sqrt2/2", backend="float")
-    assert abs(s.value - cmath.exp(1j * cmath.pi / 4)) < 1e-12
+    from crlink.heisenberg import approx_point_from_json
+
+    z, t = approx_point_from_json({"z": "sqrt2/2 + i*sqrt2/2", "t": 0.25})
+    assert abs(z - cmath.exp(1j * cmath.pi / 4)) < 1e-12 and t == 0.25
+    assert approx_point_from_json("inf") is None
 
 
 def test_surd_printing_round_trip(rng):
@@ -246,4 +258,4 @@ def test_surd_printing_round_trip(rng):
         -SQRT2,
     ] + [random_cyclo(rng) for _ in range(25)]
     for x in cases:
-        assert parse_scalar(str(x)).exact_value() == x
+        assert parse_scalar(str(x)) == x
